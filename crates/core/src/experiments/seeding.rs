@@ -24,7 +24,7 @@
 //!
 //! [`AttackConfig::with_seed`]: unxpec_attack::AttackConfig::with_seed
 
-pub use unxpec_mem::seed::{fnv1a64, indexed, splitmix64, stream};
+pub use unxpec_mem::seed::{fnv1a64, fnv_mix, indexed, splitmix64, stream, FNV_OFFSET};
 
 /// The workspace-wide default root seed (also
 /// [`AttackConfig`](unxpec_attack::AttackConfig)'s default).

@@ -2,7 +2,7 @@
 //! input/output types shared with the manifest.
 
 use unxpec::cpu::ExecMode;
-use unxpec::experiments::seeding::fnv1a64;
+use unxpec::experiments::seeding::{fnv1a64, fnv_mix};
 use unxpec::experiments::Scale;
 
 /// Everything a single trial receives: the derived seed, the scale,
@@ -77,14 +77,10 @@ impl TrialOutput {
 pub fn output_digest(out: &TrialOutput) -> u64 {
     let mut h = fnv1a64(&out.rendered);
     for (name, value) in &out.metrics {
-        h ^= fnv1a64(name);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        h ^= value.to_bits();
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = fnv_mix(fnv_mix(h, fnv1a64(name)), value.to_bits());
     }
     if out.truncated {
-        h ^= fnv1a64("truncated");
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = fnv_mix(h, fnv1a64("truncated"));
     }
     h
 }

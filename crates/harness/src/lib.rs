@@ -19,10 +19,11 @@
 //!   [`std::panic::catch_unwind`] with a bounded retry budget; a
 //!   panicking trial is reported as *poisoned* with its panic message
 //!   while the rest of the sweep completes.
-//! * **Checkpoint/resume** — completed trials are appended to a JSON
-//!   [`manifest`] (key, digest, rendered output, metrics) after each
-//!   trial; rerunning with the same spec skips them and splices their
-//!   recorded results back into the aggregates.
+//! * **Checkpoint/resume** — each finished trial appends one record
+//!   (key, digest, rendered output, metrics) to the [`manifest`], a
+//!   checksummed [`log`]; rerunning with the same spec skips the
+//!   completed trials and splices their recorded results back into the
+//!   aggregates.
 //! * **Observability** — the pool emits one wall-clock [`Span`] per
 //!   trial attempt (one track per worker) for
 //!   [`unxpec_telemetry::spans_to_chrome_json`], plus queue-depth,
@@ -43,6 +44,7 @@
 
 pub mod digest;
 pub mod experiment;
+pub mod log;
 pub mod manifest;
 pub mod pool;
 pub mod profiler;

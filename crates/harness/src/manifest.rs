@@ -1,34 +1,36 @@
-//! The checkpoint/resume manifest: a JSON record of every trial a
-//! sweep has finished (or poisoned, timed out, quarantined), keyed by
-//! trial identity.
+//! The checkpoint/resume manifest: a [record log](crate::log) of every
+//! trial a sweep has finished (or poisoned, timed out, quarantined),
+//! keyed by trial identity.
 //!
-//! The sweep runner appends to the manifest after each trial and
-//! rewrites it atomically (temp file + rename), so a killed run leaves
-//! a loadable manifest behind. Version 2 documents additionally carry
-//! an FNV-1a *content checksum* over every recorded field, so a torn
-//! or bit-flipped file is detected on load rather than silently
-//! resuming from wrong data. When strict parsing fails,
-//! [`Manifest::load_lenient`] salvages what it can: the writer emits
-//! one record per line, so recovery walks the lines, keeps every entry
-//! that still parses, and reports what it dropped — a crash mid-write
-//! costs at most the trailing record, never the whole checkpoint.
+//! The file opens with a header record — the owning spec's digest and
+//! root seed — followed by one record per trial outcome. The sweep
+//! runner appends a record as each trial finishes, so a checkpoint
+//! costs one line instead of a rewrite of the whole file, and a killed
+//! run loses at most the line it was writing. Loading salvages the log
+//! line by line ([`crate::log::salvage`]) and folds the records
+//! last-record-wins by trial key: a trial poisoned in one run and
+//! completed in the next reads as completed. The sweep compacts the
+//! file once per run, right after loading it.
 //!
 //! On resume, trials whose key appears in `completed` are spliced back
 //! into the report from their recorded rendered output and metrics —
 //! byte for byte what the original run produced, because trial seeds
 //! are identity-derived. A manifest is only valid for the spec that
 //! produced it: [`Manifest::spec_digest`] must match
-//! [`SweepSpec::digest`](crate::SweepSpec::digest).
-//!
-//! 64-bit digests are serialized as `0x`-prefixed hex strings because
-//! the JSON layer keeps numbers as `f64` (exact only to 2^53).
+//! [`SweepSpec::digest`](crate::SweepSpec::digest). A file without a
+//! header record — such as a version-1 or version-2 whole-document
+//! manifest — is refused, never silently replaced.
 
+use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::path::Path;
 
-use unxpec::experiments::seeding::fnv1a64;
-use unxpec_telemetry::json::{self, escape, Value};
+use unxpec_telemetry::json::{escape, Value};
 
 use crate::experiment::TrialOutput;
+use crate::log::{
+    self, decode_output, encode_output, hex, hex_field, str_field, u64_field, Record,
+};
 
 /// A finished trial's record.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,92 +100,186 @@ pub struct Manifest {
     pub quarantined: Vec<QuarantinedTrial>,
 }
 
-fn hex(v: u64) -> String {
-    format!("{v:#x}")
+/// The header record: which spec the log belongs to.
+struct Header {
+    spec_digest: u64,
+    root_seed: u64,
 }
 
-fn parse_hex(v: &Value) -> Result<u64, String> {
-    let s = v.as_str().ok_or("digest must be a hex string")?;
-    let raw = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("digest {s:?} missing 0x prefix"))?;
-    u64::from_str_radix(raw, 16).map_err(|e| format!("digest {s:?}: {e}"))
-}
-
-fn field_str(item: &Value, name: &str, what: &str) -> Result<String, String> {
-    item.get(name)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{what} entry missing {name}"))
-}
-
-fn field_u32(item: &Value, name: &str, what: &str) -> Result<u32, String> {
-    item.get(name)
-        .and_then(Value::as_u64)
-        .map(|v| v as u32)
-        .ok_or_else(|| format!("{what} entry missing {name}"))
-}
-
-/// `failures` was introduced in version 2; older records count as one
-/// failing run.
-fn field_failures(item: &Value) -> u32 {
-    item.get("failures")
-        .and_then(Value::as_u64)
-        .map_or(1, |v| v as u32)
-}
-
-fn completed_from(item: &Value) -> Result<CompletedTrial, String> {
-    let key = field_str(item, "key", "completed")?;
-    let digest = parse_hex(item.get("digest").ok_or("completed entry missing digest")?)?;
-    let attempts = field_u32(item, "attempts", "completed")?;
-    let mut metrics = Vec::new();
-    match item.get("metrics") {
-        Some(Value::Obj(members)) => {
-            for (name, value) in members {
-                let v = value
-                    .as_f64()
-                    .ok_or_else(|| format!("metric {name:?} is not a number"))?;
-                metrics.push((name.clone(), v));
-            }
-        }
-        _ => return Err(format!("completed entry {key:?} missing metrics{{}}")),
+impl Record for Header {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "\"type\": \"manifest\", \"spec_digest\": \"{}\", \"root_seed\": \"{}\"",
+            hex(self.spec_digest),
+            hex(self.root_seed)
+        );
     }
-    let rendered = field_str(item, "rendered", "completed")?;
-    let truncated = matches!(item.get("truncated"), Some(Value::Bool(true)));
-    let mut output = TrialOutput::new(rendered, vec![]).with_truncated(truncated);
-    output.metrics = metrics;
-    Ok(CompletedTrial {
-        key,
-        digest,
-        attempts,
-        output,
-    })
+
+    fn decode(line: &Value) -> Result<Self, String> {
+        Ok(Header {
+            spec_digest: hex_field(line, "spec_digest")?,
+            root_seed: hex_field(line, "root_seed")?,
+        })
+    }
 }
 
-fn poisoned_from(item: &Value) -> Result<PoisonedTrial, String> {
-    Ok(PoisonedTrial {
-        key: field_str(item, "key", "poisoned")?,
-        error: field_str(item, "error", "poisoned")?,
-        attempts: field_u32(item, "attempts", "poisoned")?,
-        failures: field_failures(item),
-    })
+/// The members shared by the failure records.
+fn encode_failure(
+    out: &mut String,
+    kind: &str,
+    key: &str,
+    error: &str,
+    attempts: Option<u32>,
+    failures: u32,
+) {
+    let _ = write!(
+        out,
+        "\"type\": \"{kind}\", \"key\": \"{}\", \"error\": \"{}\", ",
+        escape(key),
+        escape(error)
+    );
+    if let Some(attempts) = attempts {
+        let _ = write!(out, "\"attempts\": {attempts}, ");
+    }
+    let _ = write!(out, "\"failures\": {failures}");
 }
 
-fn timed_out_from(item: &Value) -> Result<TimedOutTrial, String> {
-    Ok(TimedOutTrial {
-        key: field_str(item, "key", "timed_out")?,
-        error: field_str(item, "error", "timed_out")?,
-        attempts: field_u32(item, "attempts", "timed_out")?,
-        failures: field_failures(item),
-    })
+fn u32_field(line: &Value, name: &str) -> Result<u32, String> {
+    let v = u64_field(line, name)?;
+    u32::try_from(v).map_err(|_| format!("field {name:?} out of range: {v}"))
 }
 
-fn quarantined_from(item: &Value) -> Result<QuarantinedTrial, String> {
-    Ok(QuarantinedTrial {
-        key: field_str(item, "key", "quarantined")?,
-        error: field_str(item, "error", "quarantined")?,
-        failures: field_failures(item),
-    })
+impl Record for CompletedTrial {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "\"type\": \"completed\", \"key\": \"{}\", \"digest\": \"{}\", \"attempts\": {}, ",
+            escape(&self.key),
+            hex(self.digest),
+            self.attempts
+        );
+        encode_output(&self.output, out);
+    }
+
+    fn decode(line: &Value) -> Result<Self, String> {
+        Ok(CompletedTrial {
+            key: str_field(line, "key")?,
+            digest: hex_field(line, "digest")?,
+            attempts: u32_field(line, "attempts")?,
+            output: decode_output(line)?,
+        })
+    }
+}
+
+impl Record for PoisonedTrial {
+    fn encode(&self, out: &mut String) {
+        encode_failure(
+            out,
+            "poisoned",
+            &self.key,
+            &self.error,
+            Some(self.attempts),
+            self.failures,
+        );
+    }
+
+    fn decode(line: &Value) -> Result<Self, String> {
+        Ok(PoisonedTrial {
+            key: str_field(line, "key")?,
+            error: str_field(line, "error")?,
+            attempts: u32_field(line, "attempts")?,
+            failures: u32_field(line, "failures")?,
+        })
+    }
+}
+
+impl Record for TimedOutTrial {
+    fn encode(&self, out: &mut String) {
+        encode_failure(
+            out,
+            "timed_out",
+            &self.key,
+            &self.error,
+            Some(self.attempts),
+            self.failures,
+        );
+    }
+
+    fn decode(line: &Value) -> Result<Self, String> {
+        Ok(TimedOutTrial {
+            key: str_field(line, "key")?,
+            error: str_field(line, "error")?,
+            attempts: u32_field(line, "attempts")?,
+            failures: u32_field(line, "failures")?,
+        })
+    }
+}
+
+impl Record for QuarantinedTrial {
+    fn encode(&self, out: &mut String) {
+        encode_failure(
+            out,
+            "quarantined",
+            &self.key,
+            &self.error,
+            None,
+            self.failures,
+        );
+    }
+
+    fn decode(line: &Value) -> Result<Self, String> {
+        Ok(QuarantinedTrial {
+            key: str_field(line, "key")?,
+            error: str_field(line, "error")?,
+            failures: u32_field(line, "failures")?,
+        })
+    }
+}
+
+/// Any one line of a manifest log, told apart by its `type`.
+enum Entry {
+    Header(Header),
+    Completed(CompletedTrial),
+    Poisoned(PoisonedTrial),
+    TimedOut(TimedOutTrial),
+    Quarantined(QuarantinedTrial),
+}
+
+impl Entry {
+    /// The trial key the record is about (`None` for the header).
+    fn key(&self) -> Option<&str> {
+        match self {
+            Entry::Header(_) => None,
+            Entry::Completed(t) => Some(&t.key),
+            Entry::Poisoned(t) => Some(&t.key),
+            Entry::TimedOut(t) => Some(&t.key),
+            Entry::Quarantined(t) => Some(&t.key),
+        }
+    }
+}
+
+impl Record for Entry {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Entry::Header(h) => h.encode(out),
+            Entry::Completed(t) => t.encode(out),
+            Entry::Poisoned(t) => t.encode(out),
+            Entry::TimedOut(t) => t.encode(out),
+            Entry::Quarantined(t) => t.encode(out),
+        }
+    }
+
+    fn decode(line: &Value) -> Result<Self, String> {
+        Ok(match str_field(line, "type")?.as_str() {
+            "manifest" => Entry::Header(Header::decode(line)?),
+            "completed" => Entry::Completed(CompletedTrial::decode(line)?),
+            "poisoned" => Entry::Poisoned(PoisonedTrial::decode(line)?),
+            "timed_out" => Entry::TimedOut(TimedOutTrial::decode(line)?),
+            "quarantined" => Entry::Quarantined(QuarantinedTrial::decode(line)?),
+            other => return Err(format!("unknown manifest record type {other:?}")),
+        })
+    }
 }
 
 impl Manifest {
@@ -196,322 +292,73 @@ impl Manifest {
         }
     }
 
-    /// FNV-1a chain over every recorded field — the content checksum a
-    /// version-2 document carries, recomputed and compared on parse.
-    pub fn checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(self.spec_digest);
-        mix(self.root_seed);
-        mix(fnv1a64("completed"));
-        mix(self.completed.len() as u64);
-        for t in &self.completed {
-            mix(fnv1a64(&t.key));
-            mix(t.digest);
-            mix(u64::from(t.attempts));
-            mix(u64::from(t.output.truncated));
-            mix(fnv1a64(&t.output.rendered));
-            for (name, value) in &t.output.metrics {
-                mix(fnv1a64(name));
-                mix(value.to_bits());
-            }
-        }
-        mix(fnv1a64("poisoned"));
-        mix(self.poisoned.len() as u64);
-        for t in &self.poisoned {
-            mix(fnv1a64(&t.key));
-            mix(fnv1a64(&t.error));
-            mix(u64::from(t.attempts));
-            mix(u64::from(t.failures));
-        }
-        mix(fnv1a64("timed_out"));
-        mix(self.timed_out.len() as u64);
-        for t in &self.timed_out {
-            mix(fnv1a64(&t.key));
-            mix(fnv1a64(&t.error));
-            mix(u64::from(t.attempts));
-            mix(u64::from(t.failures));
-        }
-        mix(fnv1a64("quarantined"));
-        mix(self.quarantined.len() as u64);
-        for t in &self.quarantined {
-            mix(fnv1a64(&t.key));
-            mix(fnv1a64(&t.error));
-            mix(u64::from(t.failures));
-        }
-        h
-    }
-
-    /// Serializes the manifest as JSON (version 2, one record per line
-    /// so [`Manifest::load_lenient`] can salvage a torn file).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"version\": 2,\n");
-        out.push_str(&format!("  \"checksum\": \"{}\",\n", hex(self.checksum())));
-        out.push_str(&format!(
-            "  \"spec_digest\": \"{}\",\n  \"root_seed\": {},\n",
-            hex(self.spec_digest),
-            self.root_seed
-        ));
-        out.push_str("  \"completed\": [");
-        for (i, t) in self.completed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"key\": \"{}\", \"digest\": \"{}\", \"attempts\": {}, ",
-                escape(&t.key),
-                hex(t.digest),
-                t.attempts
-            ));
-            if t.output.truncated {
-                out.push_str("\"truncated\": true, ");
-            }
-            out.push_str("\"metrics\": {");
-            for (j, (name, value)) in t.output.metrics.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", escape(name), value));
-            }
-            out.push_str(&format!(
-                "}}, \"rendered\": \"{}\"}}",
-                escape(&t.output.rendered)
-            ));
-        }
-        out.push_str("\n  ],\n  \"poisoned\": [");
-        for (i, t) in self.poisoned.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"key\": \"{}\", \"error\": \"{}\", \"attempts\": {}, \"failures\": {}}}",
-                escape(&t.key),
-                escape(&t.error),
-                t.attempts,
-                t.failures
-            ));
-        }
-        out.push_str("\n  ],\n  \"timed_out\": [");
-        for (i, t) in self.timed_out.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"key\": \"{}\", \"error\": \"{}\", \"attempts\": {}, \"failures\": {}}}",
-                escape(&t.key),
-                escape(&t.error),
-                t.attempts,
-                t.failures
-            ));
-        }
-        out.push_str("\n  ],\n  \"quarantined\": [");
-        for (i, t) in self.quarantined.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"key\": \"{}\", \"error\": \"{}\", \"failures\": {}}}",
-                escape(&t.key),
-                escape(&t.error),
-                t.failures
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
+    /// The manifest as a compact log: the header, then one record per
+    /// trial.
+    pub fn render(&self) -> String {
+        let mut out = log::render(&Header {
+            spec_digest: self.spec_digest,
+            root_seed: self.root_seed,
+        });
+        out.extend(self.completed.iter().map(log::render));
+        out.extend(self.poisoned.iter().map(log::render));
+        out.extend(self.timed_out.iter().map(log::render));
+        out.extend(self.quarantined.iter().map(log::render));
         out
     }
 
-    /// Parses a manifest document. Accepts version 1 (no checksum, no
-    /// timed-out/quarantined sections) and version 2 (checksum
-    /// verified against the recorded fields).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text)?;
-        let version = doc
-            .get("version")
-            .and_then(Value::as_u64)
-            .ok_or("manifest missing version")?;
-        if version != 1 && version != 2 {
-            return Err(format!("unsupported manifest version {version}"));
-        }
-        let spec_digest = parse_hex(doc.get("spec_digest").ok_or("missing spec_digest")?)?;
-        let root_seed = doc
-            .get("root_seed")
-            .and_then(Value::as_u64)
-            .ok_or("manifest missing root_seed")?;
-        let mut manifest = Manifest::new(spec_digest, root_seed);
-        for item in doc
-            .get("completed")
-            .and_then(Value::as_arr)
-            .ok_or("manifest missing completed[]")?
-        {
-            manifest.completed.push(completed_from(item)?);
-        }
-        for item in doc
-            .get("poisoned")
-            .and_then(Value::as_arr)
-            .ok_or("manifest missing poisoned[]")?
-        {
-            manifest.poisoned.push(poisoned_from(item)?);
-        }
-        if version >= 2 {
-            for item in doc
-                .get("timed_out")
-                .and_then(Value::as_arr)
-                .ok_or("manifest missing timed_out[]")?
-            {
-                manifest.timed_out.push(timed_out_from(item)?);
-            }
-            for item in doc
-                .get("quarantined")
-                .and_then(Value::as_arr)
-                .ok_or("manifest missing quarantined[]")?
-            {
-                manifest.quarantined.push(quarantined_from(item)?);
-            }
-            let recorded = parse_hex(doc.get("checksum").ok_or("manifest missing checksum")?)?;
-            let computed = manifest.checksum();
-            if recorded != computed {
-                return Err(format!(
-                    "checksum mismatch: recorded {}, computed {} — manifest is corrupt",
-                    hex(recorded),
-                    hex(computed)
-                ));
-            }
-        }
-        Ok(manifest)
+    /// Salvages a manifest log and folds its records last-record-wins
+    /// by trial key. Returns the manifest and the number of damaged
+    /// lines dropped. Only a log without a header record is an error.
+    pub fn parse(text: &str) -> Result<(Self, u64), String> {
+        Manifest::fold(log::salvage(text))
     }
 
-    /// Loads a manifest from `path`, strictly.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Manifest::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))
+    /// Loads the manifest log at `path` (see [`Manifest::parse`]).
+    pub fn load(path: &Path) -> Result<(Self, u64), String> {
+        let salvaged = log::read(path)?.ok_or_else(|| format!("{} not found", path.display()))?;
+        Manifest::fold(salvaged).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Loads a manifest, recovering from corruption where possible.
-    ///
-    /// A clean document parses strictly and returns `(manifest, None)`.
-    /// A truncated or corrupt one goes through line-oriented salvage:
-    /// the writer emits one record per line, so every line that still
-    /// parses is kept and everything else is dropped, with a warning
-    /// describing the damage. Only an unreadable file or an
-    /// unrecoverable header (no spec digest) remains an error.
-    pub fn load_lenient(path: &Path) -> Result<(Self, Option<String>), String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        match Manifest::parse(&text) {
-            Ok(m) => Ok((m, None)),
-            Err(err) => {
-                let (manifest, salvaged, dropped) = Manifest::recover(&text)
-                    .map_err(|e| format!("recover {}: {e} (after: {err})", path.display()))?;
-                Ok((
-                    manifest,
-                    Some(format!(
-                        "manifest {} was corrupt ({err}); recovered {salvaged} record(s), \
-                         dropped {dropped} damaged line(s)",
-                        path.display()
-                    )),
-                ))
-            }
-        }
-    }
-
-    /// Line-oriented salvage of a damaged document. Returns the
-    /// recovered manifest plus (salvaged, dropped) record counts.
-    fn recover(text: &str) -> Result<(Self, usize, usize), String> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Section {
-            None,
-            Completed,
-            Poisoned,
-            TimedOut,
-            Quarantined,
-        }
-        let mut spec_digest = None;
-        let mut root_seed = 0u64;
-        let mut manifest = Manifest::default();
-        let mut section = Section::None;
-        let mut salvaged = 0usize;
-        let mut dropped = 0usize;
-        // Parse a single `"name": value` line as a one-member object.
-        let header_value = |line: &str| -> Option<Value> {
-            let body = line.trim().trim_end_matches(',');
-            json::parse(&format!("{{{body}}}")).ok()
-        };
-        for raw in text.lines() {
-            let line = raw.trim();
-            if line.contains("\"spec_digest\"") && spec_digest.is_none() {
-                if let Some(v) = header_value(raw) {
-                    if let Some(d) = v.get("spec_digest").and_then(|d| parse_hex(d).ok()) {
-                        spec_digest = Some(d);
-                        continue;
-                    }
+    fn fold(salvaged: log::Salvage<Entry>) -> Result<(Self, u64), String> {
+        let mut header = None;
+        let mut trials: Vec<Entry> = Vec::new();
+        let mut slot: HashMap<String, usize> = HashMap::new();
+        for entry in salvaged.records {
+            let Some(key) = entry.key().map(str::to_string) else {
+                if let Entry::Header(h) = entry {
+                    header.get_or_insert(h);
+                }
+                continue;
+            };
+            match slot.get(&key) {
+                Some(&i) => trials[i] = entry,
+                None => {
+                    slot.insert(key, trials.len());
+                    trials.push(entry);
                 }
             }
-            if line.contains("\"root_seed\"") && section == Section::None {
-                if let Some(v) = header_value(raw) {
-                    if let Some(s) = v.get("root_seed").and_then(Value::as_u64) {
-                        root_seed = s;
-                        continue;
-                    }
-                }
-            }
-            if line.starts_with("\"completed\"") {
-                section = Section::Completed;
-                continue;
-            }
-            if line.starts_with("\"poisoned\"") {
-                section = Section::Poisoned;
-                continue;
-            }
-            if line.starts_with("\"timed_out\"") {
-                section = Section::TimedOut;
-                continue;
-            }
-            if line.starts_with("\"quarantined\"") {
-                section = Section::Quarantined;
-                continue;
-            }
-            if !line.starts_with('{') || section == Section::None {
-                continue;
-            }
-            let entry = line.trim_end_matches(',');
-            let parsed = json::parse(entry).ok().and_then(|item| match section {
-                Section::Completed => completed_from(&item)
-                    .ok()
-                    .map(|t| manifest.completed.push(t)),
-                Section::Poisoned => poisoned_from(&item).ok().map(|t| manifest.poisoned.push(t)),
-                Section::TimedOut => timed_out_from(&item)
-                    .ok()
-                    .map(|t| manifest.timed_out.push(t)),
-                Section::Quarantined => quarantined_from(&item)
-                    .ok()
-                    .map(|t| manifest.quarantined.push(t)),
-                Section::None => None,
-            });
-            match parsed {
-                Some(()) => salvaged += 1,
-                None => dropped += 1,
+        }
+        let header = header.ok_or(
+            "no manifest header record; version-1/2 whole-document manifests \
+             are not record logs and are refused",
+        )?;
+        let mut manifest = Manifest::new(header.spec_digest, header.root_seed);
+        for entry in trials {
+            match entry {
+                Entry::Header(_) => {}
+                Entry::Completed(t) => manifest.completed.push(t),
+                Entry::Poisoned(t) => manifest.poisoned.push(t),
+                Entry::TimedOut(t) => manifest.timed_out.push(t),
+                Entry::Quarantined(t) => manifest.quarantined.push(t),
             }
         }
-        let spec_digest = spec_digest.ok_or("spec_digest unrecoverable")?;
-        manifest.spec_digest = spec_digest;
-        manifest.root_seed = root_seed;
-        Ok((manifest, salvaged, dropped))
+        Ok((manifest, salvaged.dropped))
     }
 
-    /// Writes the manifest atomically: temp file in the same
-    /// directory, then rename over `path`. The document carries the
-    /// content checksum, so a torn write is detectable on load.
+    /// Compacts the manifest to `path` atomically (see
+    /// [`log::write_atomic`]).
     pub fn save(&self, path: &Path) -> Result<(), String> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json())
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+        log::write_atomic(path, self.render().as_bytes())
     }
 }
 
@@ -551,84 +398,109 @@ mod tests {
         }
     }
 
+    fn temp(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("unxpec-manifest-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
-    fn json_round_trips_exactly() {
+    fn log_round_trips_exactly_one_line_per_record() {
         let m = sample();
-        let text = m.to_json();
-        json::validate(&text).expect("manifest JSON validates");
-        let back = Manifest::parse(&text).expect("manifest parses");
-        assert_eq!(back, m);
+        let text = m.render();
+        assert_eq!(text.lines().count(), 5, "header + four trial records");
+        assert_eq!(Manifest::parse(&text).expect("parses"), (m, 0));
     }
 
     #[test]
     fn truncated_flag_round_trips() {
         let mut m = sample();
         m.completed[0].output.truncated = true;
-        let text = m.to_json();
+        let text = m.render();
         assert!(text.contains("\"truncated\": true"));
-        assert_eq!(Manifest::parse(&text).expect("parses"), m);
+        assert_eq!(Manifest::parse(&text).expect("parses").0, m);
     }
 
     #[test]
     fn digests_survive_full_u64_range() {
         let mut m = sample();
         m.spec_digest = u64::MAX;
-        let back = Manifest::parse(&m.to_json()).unwrap();
+        m.root_seed = u64::MAX - 1;
+        let (back, _) = Manifest::parse(&m.render()).unwrap();
         assert_eq!(back.spec_digest, u64::MAX);
+        assert_eq!(back.root_seed, u64::MAX - 1);
         assert_eq!(back.completed[0].digest, u64::MAX);
     }
 
     #[test]
     fn save_and_load_round_trip() {
-        let dir = std::env::temp_dir().join("unxpec-harness-manifest-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp("save");
         let path = dir.join("manifest.json");
         let m = sample();
         m.save(&path).unwrap();
-        assert_eq!(Manifest::load(&path).unwrap(), m);
+        assert_eq!(Manifest::load(&path).unwrap(), (m, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn garbage_is_rejected_with_a_message() {
-        assert!(Manifest::parse("{}").is_err());
-        assert!(Manifest::parse("not json").is_err());
-        let wrong_version = "{\"version\": 9, \"spec_digest\": \"0x1\", \"root_seed\": 0, \"completed\": [], \"poisoned\": []}";
-        assert!(Manifest::parse(wrong_version)
-            .unwrap_err()
-            .contains("version"));
+    fn later_records_win_by_trial_key() {
+        let mut m = sample();
+        let retried = CompletedTrial {
+            key: "pdf/no-es/s1".into(),
+            ..m.completed[0].clone()
+        };
+        let text = m.render() + &log::render(&retried);
+        let (folded, dropped) = Manifest::parse(&text).unwrap();
+        assert_eq!(dropped, 0);
+        assert!(folded.poisoned.is_empty(), "the completion supersedes");
+        assert_eq!(folded.completed.len(), 2);
+        m.poisoned.clear();
+        m.completed.push(retried);
+        assert_eq!(folded, m);
     }
 
     #[test]
-    fn version_1_documents_still_load() {
+    fn garbage_and_headerless_logs_are_rejected_with_a_message() {
+        assert!(Manifest::parse("{}").is_err());
+        assert!(Manifest::parse("not json").is_err());
+        let headerless: String = sample().completed.iter().map(log::render).collect();
+        let err = Manifest::parse(&headerless).unwrap_err();
+        assert!(err.contains("header"), "{err}");
+    }
+
+    #[test]
+    fn whole_document_manifests_are_refused() {
         let v1 = concat!(
             "{\"version\": 1, \"spec_digest\": \"0xabc\", \"root_seed\": 7,\n",
             " \"completed\": [{\"key\": \"a/x/s0\", \"digest\": \"0x1\", \"attempts\": 1,",
             " \"metrics\": {\"m\": 2}, \"rendered\": \"ok\"}],\n",
-            " \"poisoned\": [{\"key\": \"a/x/s1\", \"error\": \"boom\", \"attempts\": 2}]}"
+            " \"poisoned\": []}\n"
         );
-        let m = Manifest::parse(v1).expect("v1 parses");
-        assert_eq!(m.spec_digest, 0xabc);
-        assert_eq!(m.completed.len(), 1);
-        assert!(!m.completed[0].output.truncated);
-        assert_eq!(
-            m.poisoned[0].failures, 1,
-            "legacy records count one failure"
+        let v2 = concat!(
+            "{\n  \"version\": 2,\n  \"checksum\": \"0x1\",\n",
+            "  \"spec_digest\": \"0xabc\",\n  \"root_seed\": 7,\n",
+            "  \"completed\": [\n  ],\n  \"poisoned\": [\n  ]\n}\n"
         );
-        assert!(m.timed_out.is_empty());
+        for doc in [v1, v2] {
+            let err = Manifest::parse(doc).unwrap_err();
+            assert!(err.contains("refused"), "{err}");
+        }
     }
 
     #[test]
-    fn a_flipped_bit_fails_the_checksum() {
-        let text = sample().to_json();
+    fn a_tampered_record_is_dropped_and_counted() {
+        let text = sample().render();
         let tampered = text.replacen("\"attempts\": 2", "\"attempts\": 9", 1);
         assert_ne!(text, tampered, "tamper target must exist");
-        let err = Manifest::parse(&tampered).unwrap_err();
-        assert!(err.contains("checksum mismatch"), "{err}");
+        let (m, dropped) = Manifest::parse(&tampered).unwrap();
+        assert_eq!(dropped, 1);
+        assert!(m.completed.is_empty(), "the tampered record is gone");
+        assert_eq!(m.poisoned, sample().poisoned, "its neighbours survive");
     }
 
     #[test]
-    fn a_truncated_manifest_recovers_to_the_last_good_entry() {
+    fn a_torn_manifest_recovers_to_the_last_good_record() {
         let mut m = sample();
         let mut second = TrialOutput::new("fine".to_string(), vec![]);
         second.metrics = vec![("m".into(), 1.0)];
@@ -638,46 +510,32 @@ mod tests {
             attempts: 1,
             output: second,
         });
-        let text = m.to_json();
+        let text = m.render();
         // Cut the file mid-way through the second completed record, as
-        // a crash during a non-atomic write would.
+        // a kill during an append would.
         let cut = text.find("rollback/es/s1").unwrap() + 20;
-        let torn = &text[..cut];
-        assert!(Manifest::parse(torn).is_err(), "torn file must not parse");
-        let dir = std::env::temp_dir().join("unxpec-harness-manifest-recover");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp("torn");
         let path = dir.join("manifest.json");
-        std::fs::write(&path, torn).unwrap();
-        let (recovered, warning) = Manifest::load_lenient(&path).unwrap();
-        let warning = warning.expect("recovery must warn");
-        assert!(warning.contains("recovered"), "{warning}");
+        std::fs::write(&path, &text[..cut]).unwrap();
+        let (recovered, dropped) = Manifest::load(&path).unwrap();
+        assert_eq!(dropped, 1, "the torn line is counted");
         assert_eq!(recovered.spec_digest, m.spec_digest);
         assert_eq!(recovered.root_seed, m.root_seed);
-        assert_eq!(recovered.completed.len(), 1, "first record survives");
-        assert_eq!(recovered.completed[0], m.completed[0]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn a_clean_manifest_loads_leniently_without_warning() {
-        let dir = std::env::temp_dir().join("unxpec-harness-manifest-clean");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.json");
-        let m = sample();
-        m.save(&path).unwrap();
-        let (loaded, warning) = Manifest::load_lenient(&path).unwrap();
-        assert_eq!(loaded, m);
-        assert!(warning.is_none());
+        assert_eq!(
+            recovered.completed,
+            m.completed[..1],
+            "first record survives"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn pure_garbage_is_unrecoverable() {
-        let dir = std::env::temp_dir().join("unxpec-harness-manifest-garbage");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp("garbage");
         let path = dir.join("manifest.json");
         std::fs::write(&path, "\x00\x01 nothing json-like here").unwrap();
-        assert!(Manifest::load_lenient(&path).is_err());
+        assert!(Manifest::load(&path).is_err());
+        assert!(Manifest::load(&dir.join("absent.json")).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

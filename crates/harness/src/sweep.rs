@@ -4,7 +4,7 @@
 //! [`run_sweep`] is the one entry point. It expands a [`SweepSpec`]
 //! into trials, drops any trial already recorded in the manifest (when
 //! resuming), runs the rest on the work-stealing pool with panic
-//! containment, checkpoints the manifest after every completion, and
+//! containment, appends each outcome to the manifest log, and
 //! finally aggregates each metric across the seed axis with
 //! [`unxpec_stats::Summary`] — in *enumeration* order, which is what
 //! makes the aggregates (and [`SweepReport::aggregate_digest`])
@@ -20,6 +20,7 @@ use unxpec_telemetry::{
 };
 
 use crate::experiment::{output_digest, TrialOutput};
+use crate::log::Appender;
 use crate::manifest::{CompletedTrial, Manifest, PoisonedTrial, QuarantinedTrial, TimedOutTrial};
 use crate::pool::{run_tasks_with, PoolStats, RunPolicy, TaskEvent, TaskOutcome};
 use crate::profiler::SelfProfiler;
@@ -182,26 +183,35 @@ pub fn run_sweep(
 
     // Resume: load the manifest if present and splice out done trials.
     // The load is lenient — a torn or corrupt checkpoint is salvaged
-    // to its last good record with a warning instead of failing the
-    // whole sweep.
+    // line by line with a warning instead of failing the whole sweep.
     let mut manifest = Manifest::new(spec_digest, spec.root_seed);
     if let Some(path) = &opts.manifest {
         if path.exists() {
-            let (loaded, warning) = Manifest::load_lenient(path).map_err(SweepError::Manifest)?;
+            let (loaded, dropped) = Manifest::load(path).map_err(SweepError::Manifest)?;
             if loaded.spec_digest != spec_digest {
                 return Err(SweepError::ManifestMismatch {
                     manifest: loaded.spec_digest,
                     spec: spec_digest,
                 });
             }
-            warnings.extend(warning);
+            if dropped > 0 {
+                warnings.push(format!(
+                    "manifest {} was damaged; recovered {} record(s), dropped {dropped} \
+                     damaged line(s)",
+                    path.display(),
+                    loaded.completed.len()
+                        + loaded.poisoned.len()
+                        + loaded.timed_out.len()
+                        + loaded.quarantined.len()
+                ));
+            }
             manifest = loaded;
         }
     }
     // Failure history drives quarantine: keys that failed (poisoned or
     // timed out) in `failures` prior runs, plus keys already
-    // quarantined. Retryable failure records are then cleared — a
-    // resumed run retries them unless quarantined.
+    // quarantined. A resumed run retries failed keys unless
+    // quarantined; their new outcome record supersedes the old one.
     let mut prior_failures: std::collections::HashMap<String, (u32, String)> = Default::default();
     for p in &manifest.poisoned {
         prior_failures.insert(p.key.clone(), (p.failures, p.error.clone()));
@@ -217,15 +227,6 @@ pub fn run_sweep(
     }
     let previously_quarantined: std::collections::HashSet<String> =
         manifest.quarantined.iter().map(|q| q.key.clone()).collect();
-    let prior_quarantined = std::mem::take(&mut manifest.quarantined);
-    manifest.poisoned.clear();
-    manifest.timed_out.clear();
-
-    let done: std::collections::HashMap<&str, &CompletedTrial> = manifest
-        .completed
-        .iter()
-        .map(|t| (t.key.as_str(), t))
-        .collect();
     let is_quarantined = |key: &str| {
         previously_quarantined.contains(key)
             || (opts.quarantine_after > 0
@@ -233,6 +234,41 @@ pub fn run_sweep(
                     .get(key)
                     .is_some_and(|(n, _)| *n >= opts.quarantine_after))
     };
+    let quarantine_record = |key: &str| {
+        let (failures, error) = prior_failures
+            .get(key)
+            .cloned()
+            .unwrap_or((opts.quarantine_after.max(1), String::new()));
+        QuarantinedTrial {
+            key: key.to_string(),
+            error,
+            failures,
+        }
+    };
+
+    // Compact once per run: the folded records plus this run's new
+    // quarantines, then append every outcome to the compacted log.
+    let checkpoint = match &opts.manifest {
+        Some(path) => {
+            for trial in &trials {
+                if is_quarantined(&trial.key) && !previously_quarantined.contains(&trial.key) {
+                    manifest.poisoned.retain(|p| p.key != trial.key);
+                    manifest.timed_out.retain(|t| t.key != trial.key);
+                    manifest.quarantined.push(quarantine_record(&trial.key));
+                }
+            }
+            manifest.save(path).map_err(SweepError::Manifest)?;
+            let log = Appender::open(path).map_err(SweepError::Manifest)?;
+            Some(Mutex::new((log, Ok(()))))
+        }
+        None => None,
+    };
+
+    let done: std::collections::HashMap<&str, &CompletedTrial> = manifest
+        .completed
+        .iter()
+        .map(|t| (t.key.as_str(), t))
+        .collect();
     let pending: Vec<&Trial> = trials
         .iter()
         .filter(|t| !done.contains_key(t.key.as_str()) && !is_quarantined(&t.key))
@@ -249,8 +285,8 @@ pub fn run_sweep(
     };
 
     // Shard the pending trials on the pool. Each task owns exactly one
-    // trial; the checkpoint callback appends to the manifest under a
-    // lock and rewrites it atomically.
+    // trial; the checkpoint callback appends its outcome record to the
+    // manifest log under a lock.
     let policy = RunPolicy {
         retries: opts.retries,
         deadline: opts
@@ -260,8 +296,6 @@ pub fn run_sweep(
         backoff_base: Duration::from_millis(opts.backoff_ms),
         ..RunPolicy::default()
     };
-    let checkpoint = Mutex::new(manifest.clone());
-
     // Live progress: seed the totals before the pool starts so a
     // scraper sees the denominator immediately. Everything written to
     // the hub happens on the bookkeeping path — results never read it.
@@ -332,43 +366,53 @@ pub fn run_sweep(
                         );
                     });
                 }
-                if opts.manifest.is_none() {
+                let Some(checkpoint) = &checkpoint else {
                     return;
-                }
-                let mut m = checkpoint.lock().expect("checkpoint lock poisoned");
-                match outcome {
-                    TaskOutcome::Done { value, attempts } => {
-                        manifest_push_completed(&mut m, trial, value, *attempts)
-                    }
-                    TaskOutcome::Poisoned { error, attempts } => m.poisoned.push(PoisonedTrial {
-                        key: trial.key.clone(),
+                };
+                let mut guard = checkpoint.lock().expect("checkpoint lock poisoned");
+                let (log, status) = &mut *guard;
+                let key = trial.key.clone();
+                let appended = match outcome {
+                    TaskOutcome::Done { value, attempts } => log.append(&CompletedTrial {
+                        key,
+                        digest: output_digest(value),
+                        attempts: *attempts,
+                        output: value.clone(),
+                    }),
+                    TaskOutcome::Poisoned { error, attempts } => log.append(&PoisonedTrial {
+                        failures: bump_failures(&key),
+                        key,
                         error: error.clone(),
                         attempts: *attempts,
-                        failures: bump_failures(&trial.key),
                     }),
-                    TaskOutcome::TimedOut { error, attempts } => m.timed_out.push(TimedOutTrial {
-                        key: trial.key.clone(),
+                    TaskOutcome::TimedOut { error, attempts } => log.append(&TimedOutTrial {
+                        failures: bump_failures(&key),
+                        key,
                         error: error.clone(),
                         attempts: *attempts,
-                        failures: bump_failures(&trial.key),
                     }),
-                }
-                if let Some(path) = &opts.manifest {
-                    // A failed checkpoint write must not kill the sweep;
-                    // the final save reports the error instead.
-                    let _ = m.save(path);
+                };
+                // A failed append must not kill the sweep mid-run; the
+                // first such error fails it once the pool is done.
+                if status.is_ok() {
+                    *status = appended;
                 }
             }
         },
     );
     let self_profile = profiler.map(SelfProfiler::stop);
+    if let Some(checkpoint) = checkpoint {
+        let (_, status) = checkpoint.into_inner().expect("checkpoint lock poisoned");
+        status.map_err(SweepError::Manifest)?;
+    }
 
     // Reassemble results in enumeration order: resumed trials from the
     // manifest, fresh trials from their pool slot. A completed trial
     // whose output is limit-truncated (`RunResult::hit_limit`) is
     // routed to the typed timed-out list rather than aggregated — it
     // still checkpoints as completed (rerunning it would deterministically
-    // truncate again), but its numbers never enter a summary.
+    // truncate again), but its numbers never enter a summary. Only
+    // pool-level timeouts are recorded in the manifest for retry.
     let mut fresh: std::collections::HashMap<&str, (TrialOutput, u32)> = Default::default();
     let mut poisoned_fresh: std::collections::HashMap<&str, (String, u32)> = Default::default();
     let mut timed_out_fresh: std::collections::HashMap<&str, (String, u32)> = Default::default();
@@ -388,9 +432,7 @@ pub fn run_sweep(
     let mut results = Vec::new();
     let mut poisoned = Vec::new();
     let mut timed_out: Vec<TimedOutTrial> = Vec::new();
-    let mut pool_timed_out: Vec<TimedOutTrial> = Vec::new();
     let mut quarantined: Vec<QuarantinedTrial> = Vec::new();
-    let mut completed_records: Vec<CompletedTrial> = Vec::new();
     // Diagnostics payloads for truncated completions, keyed for the
     // bundle writer below.
     let mut truncated_diag: std::collections::HashMap<String, Vec<String>> = Default::default();
@@ -403,12 +445,6 @@ pub fn run_sweep(
                                was_resumed: bool,
                                results: &mut Vec<TrialResult>,
                                timed_out: &mut Vec<TimedOutTrial>| {
-        completed_records.push(CompletedTrial {
-            key: trial.key.clone(),
-            digest,
-            attempts,
-            output: output.clone(),
-        });
         if output.truncated {
             truncated_diag.insert(trial.key.clone(), output.diagnostics.clone());
             timed_out.push(TimedOutTrial {
@@ -429,15 +465,7 @@ pub fn run_sweep(
     };
     for trial in &trials {
         if is_quarantined(&trial.key) {
-            let (failures, error) = prior_failures
-                .get(trial.key.as_str())
-                .cloned()
-                .unwrap_or((opts.quarantine_after.max(1), String::new()));
-            quarantined.push(QuarantinedTrial {
-                key: trial.key.clone(),
-                error,
-                failures,
-            });
+            quarantined.push(quarantine_record(&trial.key));
         } else if let Some(rec) = done.get(trial.key.as_str()) {
             route_completed(
                 trial,
@@ -467,41 +495,13 @@ pub fn run_sweep(
                 failures: bump_failures(&trial.key),
             });
         } else if let Some((error, attempts)) = timed_out_fresh.remove(trial.key.as_str()) {
-            let rec = TimedOutTrial {
+            timed_out.push(TimedOutTrial {
                 key: trial.key.clone(),
                 error,
                 attempts,
                 failures: bump_failures(&trial.key),
-            };
-            pool_timed_out.push(rec.clone());
-            timed_out.push(rec);
+            });
         }
-    }
-
-    // Final, authoritative manifest write (the incremental writes are
-    // best-effort). Recorded trials outside the current selection are
-    // kept: a narrowed spec must not drop earlier checkpoints. Only
-    // pool-level timeouts are recorded for retry on resume; truncated
-    // completions stay in `completed` (they are deterministic).
-    if let Some(path) = &opts.manifest {
-        let mut final_manifest = Manifest::new(spec_digest, spec.root_seed);
-        final_manifest.completed = completed_records.clone();
-        let selected: std::collections::HashSet<&str> =
-            trials.iter().map(|t| t.key.as_str()).collect();
-        for rec in &manifest.completed {
-            if !selected.contains(rec.key.as_str()) {
-                final_manifest.completed.push(rec.clone());
-            }
-        }
-        final_manifest.poisoned = poisoned.clone();
-        final_manifest.timed_out = pool_timed_out.clone();
-        final_manifest.quarantined = quarantined.clone();
-        for rec in &prior_quarantined {
-            if !selected.contains(rec.key.as_str()) {
-                final_manifest.quarantined.push(rec.clone());
-            }
-        }
-        final_manifest.save(path).map_err(SweepError::Manifest)?;
     }
 
     // Per-failure diagnostics bundles: one JSON file per poisoned,
@@ -567,15 +567,6 @@ pub fn run_sweep(
         spans,
         self_profile,
     })
-}
-
-fn manifest_push_completed(m: &mut Manifest, trial: &Trial, output: &TrialOutput, attempts: u32) {
-    m.completed.push(CompletedTrial {
-        key: trial.key.clone(),
-        digest: output_digest(output),
-        attempts,
-        output: output.clone(),
-    });
 }
 
 /// Writes one trial's diagnostics bundle:
@@ -687,12 +678,9 @@ fn digest_run(
     timed_out: &[TimedOutTrial],
     quarantined: &[QuarantinedTrial],
 ) -> u64 {
-    use unxpec::experiments::seeding::fnv1a64;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    use unxpec::experiments::seeding::{fnv1a64, fnv_mix, FNV_OFFSET};
+    let mut h = FNV_OFFSET;
+    let mut mix = |v: u64| h = fnv_mix(h, v);
     for r in results {
         mix(fnv1a64(&r.trial.key));
         mix(r.digest);
@@ -1048,7 +1036,7 @@ mod tests {
         };
         let first = run_sweep(&spec, &mk(), &opts).unwrap();
         assert_eq!(first.timed_out.len(), 1);
-        let saved = Manifest::load(&manifest_path).unwrap();
+        let (saved, _) = Manifest::load(&manifest_path).unwrap();
         assert_eq!(saved.completed.len(), 1, "truncated trials checkpoint");
         assert!(saved.completed[0].output.truncated);
         assert!(saved.timed_out.is_empty(), "not a retryable pool timeout");
@@ -1084,7 +1072,7 @@ mod tests {
         assert_eq!(r3.quarantined.len(), 1);
         assert_eq!(r3.quarantined[0].key, "flaky/bad/s0");
         assert_eq!(r3.quarantined[0].failures, 2);
-        let saved = Manifest::load(&manifest_path).unwrap();
+        let (saved, _) = Manifest::load(&manifest_path).unwrap();
         assert_eq!(saved.quarantined.len(), 1);
         // Run 4: quarantine persists via the manifest.
         let r4 = run_sweep(&flaky_spec(), &flaky_registry(), &opts).unwrap();
@@ -1160,7 +1148,7 @@ mod tests {
         let report = run_sweep(&spec, &mk_slow(), &strict).unwrap();
         assert_eq!(report.timed_out.len(), 1);
         assert_eq!(report.stats.timed_out, 1);
-        let saved = Manifest::load(&manifest_path).unwrap();
+        let (saved, _) = Manifest::load(&manifest_path).unwrap();
         assert_eq!(
             saved.timed_out.len(),
             1,

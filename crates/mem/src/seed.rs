@@ -20,14 +20,22 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The FNV-1a 64-bit offset basis: where every FNV chain starts.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a round: folds the word `v` into the running hash `h`.
+/// Every FNV chain in the workspace — label hashes, digests, the
+/// record log's line checksum — is built from this one step.
+pub fn fnv_mix(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
 /// FNV-1a over `label`'s bytes — the stable label hash.
 pub fn fnv1a64(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    label
+        .as_bytes()
+        .iter()
+        .fold(FNV_OFFSET, |h, b| fnv_mix(h, u64::from(*b)))
 }
 
 /// The seed for the stream `label` under `root`.

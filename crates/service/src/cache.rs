@@ -14,14 +14,13 @@
 //! * **Sharded directories** — entry `key` lives at
 //!   `<dir>/<key % 256 as hex>/<key as 016x>.json`, keeping any single
 //!   directory small even at millions of entries.
-//! * **Atomic writes** — entries are written to a `.tmp` sibling and
-//!   renamed into place; a crash mid-write can never leave a torn
-//!   entry under the final name.
-//! * **Integrity checksum** — each entry carries an FNV-1a checksum
-//!   over every recorded field *and* the trial's output digest; a
-//!   bit-flipped or truncated entry fails validation on read, is
-//!   deleted, counts into [`CacheStats::corrupt`], and falls back to
-//!   re-simulation.
+//! * **One record per file** — an entry is a single-line
+//!   [record log](unxpec_harness::log) holding the key, the output and
+//!   its output digest, written atomically (`<name>.tmp` sibling, then
+//!   rename), so a crash mid-write never leaves a torn entry under the
+//!   final name. A bit-flipped or truncated entry fails the line
+//!   checksum (or the output-digest check) on read, is deleted, counts
+//!   into [`CacheStats::corrupt`], and falls back to re-simulation.
 //! * **LRU size bound** — the cache tracks total bytes and evicts
 //!   least-recently-used entries once `max_bytes` is exceeded (0 means
 //!   unbounded). Recency is in-memory; after a restart it is seeded
@@ -37,13 +36,15 @@
 //! computes, and they are excluded from the output digest for the same
 //! reason.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
-use unxpec::experiments::seeding::fnv1a64;
+use unxpec_harness::log::{self, decode_output, encode_output, hex, hex_field, Record};
 use unxpec_harness::{output_digest, TrialOutput};
-use unxpec_telemetry::json::{self, escape, Value};
+use unxpec_telemetry::json::Value;
 
 use crate::error::ServiceError;
 
@@ -89,109 +90,45 @@ pub struct ResultCache {
     stats: CacheStats,
 }
 
-/// Entry-format version; bump on any layout change so old files read
-/// as corrupt instead of mis-parsing.
-const ENTRY_VERSION: u64 = 1;
-
-fn hex(v: u64) -> String {
-    format!("{v:#x}")
+/// The one record an entry file holds: the cell key and its output.
+/// The stored output digest is re-verified on decode, on top of the
+/// line checksum.
+struct Entry<'a> {
+    key: u64,
+    output: Cow<'a, TrialOutput>,
 }
 
-fn parse_hex(v: &Value) -> Option<u64> {
-    let s = v.as_str()?;
-    u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
-}
-
-/// FNV-1a chain over every field of an entry, mixed with the output
-/// digest. This is what detects a flipped bit or a truncated file.
-fn entry_checksum(key: u64, digest: u64, output: &TrialOutput) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(ENTRY_VERSION);
-    mix(key);
-    mix(digest);
-    mix(u64::from(output.truncated));
-    mix(output.metrics.len() as u64);
-    for (name, value) in &output.metrics {
-        mix(fnv1a64(name));
-        mix(value.to_bits());
+impl Record for Entry<'_> {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "\"key\": \"{}\", \"digest\": \"{}\", ",
+            hex(self.key),
+            hex(output_digest(&self.output))
+        );
+        encode_output(&self.output, out);
     }
-    mix(fnv1a64(&output.rendered));
-    h
-}
 
-fn entry_json(key: u64, output: &TrialOutput) -> String {
-    let digest = output_digest(output);
-    let mut out = format!(
-        "{{\"v\": {ENTRY_VERSION}, \"key\": \"{}\", \"digest\": \"{}\", \"checksum\": \"{}\", ",
-        hex(key),
-        hex(digest),
-        hex(entry_checksum(key, digest, output))
-    );
-    if output.truncated {
-        out.push_str("\"truncated\": true, ");
-    }
-    out.push_str("\"metrics\": {");
-    for (i, (name, value)) in output.metrics.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+    fn decode(line: &Value) -> Result<Self, String> {
+        let output = decode_output(line)?;
+        if output_digest(&output) != hex_field(line, "digest")? {
+            return Err("entry output digest mismatch".to_string());
         }
-        out.push_str(&format!("\"{}\": {}", escape(name), value));
+        Ok(Entry {
+            key: hex_field(line, "key")?,
+            output: Cow::Owned(output),
+        })
     }
-    out.push_str(&format!(
-        "}}, \"rendered\": \"{}\"}}\n",
-        escape(&output.rendered)
-    ));
-    out
 }
 
 /// Parses and fully validates one entry file's text for `key`.
 fn parse_entry(key: u64, text: &str) -> Result<TrialOutput, String> {
-    let doc = json::parse(text)?;
-    if doc.get("v").and_then(Value::as_u64) != Some(ENTRY_VERSION) {
-        return Err("entry version mismatch".to_string());
-    }
-    if doc.get("key").and_then(parse_hex) != Some(key) {
+    let line = text.strip_suffix('\n').ok_or("entry is torn")?;
+    let entry = log::parse::<Entry>(line)?;
+    if entry.key != key {
         return Err("entry key does not match its address".to_string());
     }
-    let digest = doc
-        .get("digest")
-        .and_then(parse_hex)
-        .ok_or("entry missing digest")?;
-    let recorded = doc
-        .get("checksum")
-        .and_then(parse_hex)
-        .ok_or("entry missing checksum")?;
-    let rendered = doc
-        .get("rendered")
-        .and_then(Value::as_str)
-        .ok_or("entry missing rendered")?
-        .to_string();
-    let truncated = matches!(doc.get("truncated"), Some(Value::Bool(true)));
-    let mut metrics = Vec::new();
-    match doc.get("metrics") {
-        Some(Value::Obj(members)) => {
-            for (name, value) in members {
-                let v = value
-                    .as_f64()
-                    .ok_or_else(|| format!("metric {name:?} is not a number"))?;
-                metrics.push((name.clone(), v));
-            }
-        }
-        _ => return Err("entry missing metrics{}".to_string()),
-    }
-    let mut output = TrialOutput::new(rendered, vec![]).with_truncated(truncated);
-    output.metrics = metrics;
-    if entry_checksum(key, digest, &output) != recorded {
-        return Err("entry checksum mismatch".to_string());
-    }
-    if output_digest(&output) != digest {
-        return Err("entry output digest mismatch".to_string());
-    }
-    Ok(output)
+    Ok(entry.output.into_owned())
 }
 
 impl ResultCache {
@@ -316,28 +253,22 @@ impl ResultCache {
         }
     }
 
-    /// Stores `output` under `key` (atomic temp + rename), then
+    /// Stores `output` under `key` (one atomic record file), then
     /// enforces the size bound by evicting least-recently-used entries.
     /// A single entry larger than the whole bound is kept — evicting it
     /// would make the cell uncacheable forever.
     pub fn put(&mut self, key: u64, output: &TrialOutput) -> Result<(), ServiceError> {
-        let text = entry_json(key, output);
+        let text = log::render(&Entry {
+            key,
+            output: Cow::Borrowed(output),
+        });
         let path = self.path_for(key);
         let shard = path
             .parent()
             .ok_or_else(|| ServiceError::Cache("entry path has no shard dir".to_string()))?;
         std::fs::create_dir_all(shard)
             .map_err(|e| ServiceError::Cache(format!("create {}: {e}", shard.display())))?;
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &text)
-            .map_err(|e| ServiceError::Cache(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path).map_err(|e| {
-            ServiceError::Cache(format!(
-                "rename {} -> {}: {e}",
-                tmp.display(),
-                path.display()
-            ))
-        })?;
+        log::write_atomic(&path, text.as_bytes()).map_err(ServiceError::Cache)?;
         self.forget(key); // replacing an entry must not double-count bytes
         self.sizes.insert(key, text.len() as u64);
         self.stats.bytes += text.len() as u64;

@@ -10,40 +10,27 @@
 //! re-enqueued. A `kill -9` mid-sweep therefore costs nothing but the
 //! cells that were actually in flight.
 //!
-//! Durability discipline (same family as the result cache):
-//!
-//! * **Append + flush per record** — each record is one `\n`-terminated
-//!   line flushed to the OS before the write returns, so a killed
-//!   *process* never loses an acknowledged record (only a power loss
-//!   could, and the lenient loader bounds that cost to the torn tail).
-//! * **Per-line FNV checksum** — every record carries an FNV-1a
-//!   checksum over all of its fields; a flipped bit or a torn line
-//!   fails validation on load.
-//! * **Lenient line-by-line salvage** — loading never panics and never
-//!   discards the whole journal: each line either parses and validates
-//!   or is counted into [`JournalRecovery::dropped`] and skipped,
-//!   mirroring the sweep manifest's crash-recovery contract.
-//! * **Atomic compaction** — after a successful replay the journal is
-//!   rewritten from the salvaged records through a `.tmp` sibling and
-//!   `rename`, so corruption never accumulates and a crash mid-compact
-//!   leaves the previous journal intact.
+//! The journal is a [record log](unxpec_harness::log): one
+//! checksummed JSON line per record, appended and flushed before the
+//! write returns, so a killed *process* never loses an acknowledged
+//! record. [`Journal::open`] salvages line by line — a torn tail or a
+//! flipped bit costs only its own line, counted in
+//! [`JournalRecovery::dropped`] — and then compacts the salvaged
+//! records back atomically, so corruption never accumulates and a crash
+//! mid-compaction leaves the previous journal intact.
 //!
 //! What is deliberately *not* journaled: trial outputs (they live in
 //! the result cache under the cell digest — the journal only records
 //! *that* a cell finished), and failed slots (a poisoned or timed-out
 //! cell should get a fresh chance after a restart).
 
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::fmt::Write as _;
+use std::path::Path;
 
-use unxpec::experiments::seeding::fnv1a64;
-use unxpec_telemetry::json::{self, escape, Value};
+use unxpec_harness::log::{self, hex, hex_field, str_field, u64_field, Appender, Record, Salvage};
+use unxpec_telemetry::json::{escape, Value};
 
 use crate::error::ServiceError;
-
-/// Record-format version; bump on any layout change so old journals
-/// read as corrupt records instead of mis-parsing.
-pub const JOURNAL_VERSION: u64 = 1;
 
 /// One durable scheduler transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,129 +62,56 @@ pub enum JournalRecord {
     },
 }
 
-impl JournalRecord {
-    fn type_tag(&self) -> &'static str {
-        match self {
-            JournalRecord::Submit { .. } => "submit",
-            JournalRecord::CellDone { .. } => "done",
-            JournalRecord::Cancel { .. } => "cancel",
-        }
-    }
-
-    /// FNV-1a chain over every field; what detects torn/flipped lines.
-    fn checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(JOURNAL_VERSION);
-        mix(fnv1a64(self.type_tag()));
-        match self {
+impl Record for JournalRecord {
+    fn encode(&self, out: &mut String) {
+        let _ = match self {
             JournalRecord::Submit {
                 job,
                 tenant,
                 spec_text,
-            } => {
-                mix(*job);
-                mix(fnv1a64(tenant));
-                mix(fnv1a64(spec_text));
-            }
-            JournalRecord::CellDone { job, slot, cell } => {
-                mix(*job);
-                mix(*slot);
-                mix(*cell);
-            }
-            JournalRecord::Cancel { job } => mix(*job),
-        }
-        h
-    }
-
-    /// Renders the record as its one-line JSON form (with trailing
-    /// newline).
-    pub fn render(&self) -> String {
-        let checksum = format!("{:#x}", self.checksum());
-        match self {
-            JournalRecord::Submit {
-                job,
-                tenant,
-                spec_text,
-            } => format!(
-                "{{\"v\": {JOURNAL_VERSION}, \"type\": \"submit\", \"job\": {job}, \"tenant\": \"{}\", \"spec\": \"{}\", \"checksum\": \"{checksum}\"}}\n",
+            } => write!(
+                out,
+                "\"type\": \"submit\", \"job\": {job}, \"tenant\": \"{}\", \"spec\": \"{}\"",
                 escape(tenant),
                 escape(spec_text)
             ),
-            JournalRecord::CellDone { job, slot, cell } => format!(
-                "{{\"v\": {JOURNAL_VERSION}, \"type\": \"done\", \"job\": {job}, \"slot\": {slot}, \"cell\": \"{cell:#x}\", \"checksum\": \"{checksum}\"}}\n"
+            JournalRecord::CellDone { job, slot, cell } => write!(
+                out,
+                "\"type\": \"done\", \"job\": {job}, \"slot\": {slot}, \"cell\": \"{}\"",
+                hex(*cell)
             ),
-            JournalRecord::Cancel { job } => format!(
-                "{{\"v\": {JOURNAL_VERSION}, \"type\": \"cancel\", \"job\": {job}, \"checksum\": \"{checksum}\"}}\n"
-            ),
-        }
+            JournalRecord::Cancel { job } => write!(out, "\"type\": \"cancel\", \"job\": {job}"),
+        };
     }
 
-    /// Parses and fully validates one journal line.
-    pub fn parse(line: &str) -> Result<JournalRecord, String> {
-        let doc = json::parse(line)?;
-        if doc.get("v").and_then(Value::as_u64) != Some(JOURNAL_VERSION) {
-            return Err("journal record version mismatch".to_string());
-        }
-        let field_u64 = |name: &str| -> Result<u64, String> {
-            doc.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("record missing numeric field {name:?}"))
-        };
-        let field_str = |name: &str| -> Result<String, String> {
-            doc.get(name)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("record missing string field {name:?}"))
-        };
-        let field_hex = |name: &str| -> Result<u64, String> {
-            let s = field_str(name)?;
-            let raw = s
-                .strip_prefix("0x")
-                .ok_or_else(|| format!("{name} {s:?} missing 0x prefix"))?;
-            u64::from_str_radix(raw, 16).map_err(|e| format!("{name} {s:?}: {e}"))
-        };
-        let record = match field_str("type")?.as_str() {
+    fn decode(line: &Value) -> Result<Self, String> {
+        Ok(match str_field(line, "type")?.as_str() {
             "submit" => JournalRecord::Submit {
-                job: field_u64("job")?,
-                tenant: field_str("tenant")?,
-                spec_text: field_str("spec")?,
+                job: u64_field(line, "job")?,
+                tenant: str_field(line, "tenant")?,
+                spec_text: str_field(line, "spec")?,
             },
             "done" => JournalRecord::CellDone {
-                job: field_u64("job")?,
-                slot: field_u64("slot")?,
-                cell: field_hex("cell")?,
+                job: u64_field(line, "job")?,
+                slot: u64_field(line, "slot")?,
+                cell: hex_field(line, "cell")?,
             },
             "cancel" => JournalRecord::Cancel {
-                job: field_u64("job")?,
+                job: u64_field(line, "job")?,
             },
             other => return Err(format!("unknown record type {other:?}")),
-        };
-        if record.checksum() != field_hex("checksum")? {
-            return Err("record checksum mismatch".to_string());
-        }
-        Ok(record)
+        })
     }
 }
 
-/// What loading an existing journal recovered.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct JournalRecovery {
-    /// Records that parsed and validated, in file order.
-    pub records: Vec<JournalRecord>,
-    /// Lines dropped as corrupt (torn tail, flipped bits, old
-    /// versions). Typed and counted — salvage never panics.
-    pub dropped: u64,
-}
+/// What loading an existing journal recovered: the records that
+/// validated, in file order, and the count of lines dropped as damaged.
+pub type JournalRecovery = Salvage<JournalRecord>;
 
 /// The append handle over one journal file.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
-    file: std::fs::File,
+    log: Appender,
     records: u64,
 }
 
@@ -214,70 +128,24 @@ impl Journal {
                 })?;
             }
         }
-        let recovery = match std::fs::read_to_string(path) {
-            Ok(text) => Self::salvage(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => JournalRecovery::default(),
-            Err(e) => {
-                return Err(ServiceError::Journal(format!(
-                    "read {}: {e}",
-                    path.display()
-                )))
-            }
-        };
-        // Compact: rewrite only the salvaged records, atomically, so a
-        // corrupt tail doesn't survive into the next lifetime (and a
-        // crash mid-compact leaves the old journal intact).
-        let mut compacted = String::new();
-        for record in &recovery.records {
-            compacted.push_str(&record.render());
-        }
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &compacted)
-            .map_err(|e| ServiceError::Journal(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            ServiceError::Journal(format!(
-                "rename {} -> {}: {e}",
-                tmp.display(),
-                path.display()
-            ))
-        })?;
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| ServiceError::Journal(format!("open {}: {e}", path.display())))?;
+        let recovery = log::read(path)
+            .map_err(ServiceError::Journal)?
+            .unwrap_or_default();
+        log::compact(path, &recovery.records).map_err(ServiceError::Journal)?;
+        let log = Appender::open(path).map_err(ServiceError::Journal)?;
         Ok((
             Journal {
-                path: path.to_path_buf(),
-                file,
+                log,
                 records: recovery.records.len() as u64,
             },
             recovery,
         ))
     }
 
-    /// Lenient line-by-line recovery: keep every line that parses and
-    /// validates, count the rest. Never an error, never a panic.
-    pub fn salvage(text: &str) -> JournalRecovery {
-        let mut recovery = JournalRecovery::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match JournalRecord::parse(line) {
-                Ok(record) => recovery.records.push(record),
-                Err(_) => recovery.dropped += 1,
-            }
-        }
-        recovery
-    }
-
     /// Appends one record and flushes it to the OS. After this returns,
     /// a killed process cannot lose the record.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), ServiceError> {
-        self.file
-            .write_all(record.render().as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| ServiceError::Journal(format!("append {}: {e}", self.path.display())))?;
+        self.log.append(record).map_err(ServiceError::Journal)?;
         self.records += 1;
         Ok(())
     }
@@ -294,7 +162,7 @@ impl Journal {
 
     /// The journal file's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
@@ -302,6 +170,7 @@ impl Journal {
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -315,8 +184,8 @@ mod tests {
         vec![
             JournalRecord::Submit {
                 job: 1,
-                tenant: "alice".into(),
-                spec_text: "experiments = count\nseeds = 2\n".into(),
+                tenant: "tenant \"x\"".into(),
+                spec_text: "experiments = a\n# comment with \\ and \"quotes\"\nseeds = 3\n".into(),
             },
             JournalRecord::CellDone {
                 job: 1,
@@ -330,31 +199,10 @@ mod tests {
     #[test]
     fn records_round_trip_through_their_line_form() {
         for record in sample_records() {
-            let line = record.render();
-            assert!(line.ends_with('\n'), "self-delimiting");
+            let line = log::render(&record);
             assert_eq!(line.matches('\n').count(), 1, "exactly one line");
-            assert_eq!(
-                JournalRecord::parse(line.trim_end()).expect("parse"),
-                record
-            );
+            assert_eq!(log::parse::<JournalRecord>(line.trim_end()), Ok(record));
         }
-    }
-
-    #[test]
-    fn checksum_rejects_field_tampering() {
-        let line = JournalRecord::Submit {
-            job: 2,
-            tenant: "bob".into(),
-            spec_text: "seeds = 4".into(),
-        }
-        .render();
-        let tampered = line.replacen("bob", "eve", 1);
-        assert!(
-            JournalRecord::parse(tampered.trim_end()).is_err(),
-            "tenant swap must fail the checksum"
-        );
-        let tampered = line.replacen("\"job\": 2", "\"job\": 3", 1);
-        assert!(JournalRecord::parse(tampered.trim_end()).is_err());
     }
 
     #[test]
@@ -387,7 +235,7 @@ mod tests {
         }
         // Simulate a crash mid-append: a partial record at the tail.
         let mut text = std::fs::read_to_string(&path).expect("read");
-        text.push_str("{\"v\": 1, \"type\": \"done\", \"job\": 9, \"slo");
+        text.push_str("{\"v\": 3, \"type\": \"done\", \"job\": 9, \"slo");
         std::fs::write(&path, &text).expect("tear");
 
         let (_, recovery) = Journal::open(&path).expect("reopen");
@@ -399,30 +247,5 @@ mod tests {
         assert_eq!(again.dropped, 0, "compaction scrubbed the torn tail");
         assert_eq!(again.records.len(), 3);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
-    }
-
-    #[test]
-    fn version_skew_reads_as_dropped_not_misparsed() {
-        let line = sample_records()[1]
-            .render()
-            .replacen("\"v\": 1", "\"v\": 99", 1);
-        let recovery = Journal::salvage(&line);
-        assert!(recovery.records.is_empty());
-        assert_eq!(recovery.dropped, 1);
-    }
-
-    #[test]
-    fn spec_text_with_newlines_and_quotes_survives() {
-        let record = JournalRecord::Submit {
-            job: 7,
-            tenant: "tenant \"x\"".into(),
-            spec_text: "experiments = a\n# comment with \\ and \"quotes\"\nseeds = 3\n".into(),
-        };
-        let line = record.render();
-        assert_eq!(line.matches('\n').count(), 1, "newlines are escaped");
-        assert_eq!(
-            JournalRecord::parse(line.trim_end()).expect("parse"),
-            record
-        );
     }
 }

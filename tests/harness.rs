@@ -1,6 +1,7 @@
 //! Integration tests for the sweep harness: parallel-equals-serial
-//! determinism, checkpoint/resume from a manifest, and panic
-//! containment with bounded retry (`docs/harness.md`).
+//! determinism, checkpoint/resume from a manifest (including a
+//! manifest torn by a kill mid-append), and panic containment with
+//! bounded retry (`docs/harness.md`).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -133,7 +134,7 @@ fn manifest_for_a_different_spec_is_rejected() {
     }
 
     // The manifest file itself still parses and belongs to run 1.
-    let m = Manifest::load(&manifest).expect("manifest still valid");
+    let (m, _) = Manifest::load(&manifest).expect("manifest still valid");
     assert_eq!(m.completed.len(), 2);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -223,10 +224,10 @@ fn panic_once_then_succeed_is_not_double_counted() {
     assert_eq!(metrics.counter("sweep.trials_poisoned"), 0);
     assert_eq!(metrics.counter("sweep.trials_total"), 1);
 
-    // Manifest: exactly one completed record (the incremental
-    // checkpoint and the final write must not both append it), carrying
-    // the final attempt count, and no poisoned carcass.
-    let m = Manifest::load(&manifest).expect("manifest");
+    // Manifest: exactly one completed record (the retry must not
+    // append a second one), carrying the final attempt count, and no
+    // poisoned carcass.
+    let (m, _) = Manifest::load(&manifest).expect("manifest");
     assert_eq!(m.completed.len(), 1, "one record for one trial");
     assert_eq!(m.completed[0].attempts, 2);
     assert!(m.poisoned.is_empty());
@@ -270,4 +271,131 @@ fn flaky_trial_recovers_within_the_retry_budget() {
     assert!(report.poisoned.is_empty());
     assert_eq!(report.results[0].attempts, 3);
     assert_eq!(report.results[0].output.rendered, "recovered");
+}
+
+fn count_spec(seeds: u64) -> SweepSpec {
+    let mut spec = SweepSpec::quick();
+    spec.experiments = vec!["count".into()];
+    spec.seeds = seeds;
+    spec
+}
+
+fn checkpointed(manifest: &std::path::Path) -> SweepOptions {
+    SweepOptions {
+        jobs: 1,
+        manifest: Some(manifest.to_path_buf()),
+        ..SweepOptions::default()
+    }
+}
+
+/// A fresh checkpointed sweep appends one line per trial after the
+/// header record, instead of rewriting the whole file per trial.
+#[test]
+fn a_fresh_checkpointed_sweep_leaves_a_header_and_one_record_per_trial() {
+    let dir = tmpdir("fresh-log");
+    let manifest = dir.join("manifest.json");
+    std::fs::remove_file(&manifest).ok();
+    let registry = counting_registry(Arc::new(AtomicUsize::new(0)));
+    run_sweep(&count_spec(5), &registry, &checkpointed(&manifest)).expect("sweep");
+    let text = std::fs::read_to_string(&manifest).expect("manifest written");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 1 + 5, "header plus one record per trial");
+    assert!(lines[0].contains("\"type\": \"manifest\""), "{}", lines[0]);
+    assert!(lines[1..]
+        .iter()
+        .all(|l| l.contains("\"type\": \"completed\"")));
+    assert!(text.ends_with('\n'));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What `kill -9` mid-append leaves behind: a manifest whose last
+/// record is torn. The resume salvages it with at most one dropped
+/// line, runs only the trials the log no longer holds, and reproduces
+/// the unchecked sweep's aggregate digest.
+#[test]
+fn a_manifest_torn_mid_record_resumes_only_the_missing_trials() {
+    let dir = tmpdir("torn-log");
+    let manifest = dir.join("manifest.json");
+    std::fs::remove_file(&manifest).ok();
+    let spec = count_spec(6);
+    let unchecked = run_sweep(
+        &spec,
+        &counting_registry(Arc::new(AtomicUsize::new(0))),
+        &SweepOptions::default(),
+    )
+    .expect("unchecked sweep");
+    run_sweep(
+        &spec,
+        &counting_registry(Arc::new(AtomicUsize::new(0))),
+        &checkpointed(&manifest),
+    )
+    .expect("checkpointed sweep");
+
+    // Keep the header and three whole records, then half of the fourth.
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    let ends: Vec<usize> = text.match_indices('\n').map(|(i, _)| i + 1).collect();
+    let cut = ends[3] + (ends[4] - ends[3]) / 2;
+    std::fs::write(&manifest, &text[..cut]).expect("tear");
+    let (salvaged, dropped) = Manifest::load(&manifest).expect("salvage");
+    assert!(dropped <= 1, "only the torn line drops, got {dropped}");
+    assert_eq!(salvaged.completed.len(), 3);
+
+    let runs = Arc::new(AtomicUsize::new(0));
+    let resumed = run_sweep(
+        &spec,
+        &counting_registry(runs.clone()),
+        &checkpointed(&manifest),
+    )
+    .expect("resumed sweep");
+    assert_eq!(
+        runs.load(Ordering::Relaxed),
+        3,
+        "only the missing trials ran"
+    );
+    assert_eq!(resumed.resumed, 3);
+    assert_eq!(resumed.warnings.len(), 1, "the salvage is reported");
+    assert_eq!(resumed.aggregate_digest, unchecked.aggregate_digest);
+    let (healed, dropped) = Manifest::load(&manifest).expect("healed manifest");
+    assert_eq!(
+        (healed.completed.len(), dropped),
+        (6, 0),
+        "compacted, then appended"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A version-1/2 whole-document manifest is not a record log: the
+/// sweep must refuse it rather than start fresh and overwrite it.
+#[test]
+fn whole_document_manifests_are_refused_not_overwritten() {
+    let dir = tmpdir("old-manifest");
+    let manifest = dir.join("manifest.json");
+    let spec = count_spec(2);
+    let old = format!(
+        concat!(
+            "{{\n  \"version\": 2,\n  \"checksum\": \"0x1\",\n",
+            "  \"spec_digest\": \"{:#x}\",\n  \"root_seed\": {},\n",
+            "  \"completed\": [\n  ],\n  \"poisoned\": [\n  ],\n",
+            "  \"timed_out\": [\n  ],\n  \"quarantined\": [\n  ]\n}}\n"
+        ),
+        spec.digest(),
+        spec.root_seed
+    );
+    std::fs::write(&manifest, &old).expect("write old manifest");
+    let runs = Arc::new(AtomicUsize::new(0));
+    match run_sweep(
+        &spec,
+        &counting_registry(runs.clone()),
+        &checkpointed(&manifest),
+    ) {
+        Err(SweepError::Manifest(e)) => assert!(e.contains("refused"), "{e}"),
+        other => panic!("expected a manifest error, got {other:?}"),
+    }
+    assert_eq!(runs.load(Ordering::Relaxed), 0, "nothing ran");
+    assert_eq!(
+        std::fs::read_to_string(&manifest).unwrap(),
+        old,
+        "file untouched"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,23 +2,21 @@
 //! (`docs/service.md`): fair cross-tenant scheduling, cache-hit
 //! results byte-identical to cold runs, cache survival across a
 //! server restart, the TCP protocol end-to-end, a pinned golden cell
-//! digest, corruption robustness of the on-disk cache and the job
-//! journal, crash-resume with zero re-simulation, idempotent
+//! digest, crash-resume with zero re-simulation, idempotent
 //! re-submission, admission control with the server-chosen retry
 //! hint, graceful drain, and sequence-cursor stream resume.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use proptest::prelude::*;
 use unxpec_harness::{
     cell_digest, FnExperiment, Registry, RunPolicy, SweepSpec, TrialOutput, DIGEST_VERSION,
 };
 use unxpec_service::{
-    AdmissionConfig, CacheConfig, Client, Journal, JournalRecord, ResilientClient, ResultCache,
-    Service, ServiceConfig, ServiceError, TcpFront,
+    AdmissionConfig, CacheConfig, Client, ResilientClient, Service, ServiceConfig, ServiceError,
+    TcpFront,
 };
 use unxpec_telemetry::{Event, MetricsHub, Telemetry};
 
@@ -271,74 +269,6 @@ fn golden_spec_cell_digest_is_pinned() {
         digest, GOLDEN_CELL_DIGEST,
         "cell digest of the committed golden spec changed: {digest:#018x}"
     );
-}
-
-fn seeded_entry(dir: &Path) -> (ResultCache, TrialOutput) {
-    let config = CacheConfig {
-        dir: dir.to_path_buf(),
-        max_bytes: 0,
-    };
-    let mut cache = ResultCache::open(&config).expect("open");
-    let mut output = TrialOutput::new("rendered line\nsecond line".into(), vec![]);
-    output.metrics = vec![("diff".into(), 22.5), ("frac".into(), 0.1)];
-    cache.put(0xfeed, &output).expect("put");
-    (cache, output)
-}
-
-fn entry_path(dir: &std::path::Path) -> PathBuf {
-    dir.join(format!("{:02x}", 0xfeedu64 & 0xff))
-        .join(format!("{:016x}.json", 0xfeedu64))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Any single-byte corruption of a cache entry either leaves a
-    /// byte-identical valid entry (flips that don't change the stored
-    /// document, e.g. restoring the same byte) or falls back to a
-    /// counted miss — never a panic, never a wrong result.
-    #[test]
-    fn bit_flipped_entries_fall_back_to_resimulation(pos in 0usize..4096, flip in 1u8..=255) {
-        let dir = tmpdir(&format!("prop-flip-{pos}-{flip}"));
-        let (mut cache, original) = seeded_entry(&dir);
-        let path = entry_path(&dir);
-        let mut bytes = std::fs::read(&path).expect("entry bytes");
-        let pos = pos % bytes.len();
-        bytes[pos] ^= flip;
-        std::fs::write(&path, &bytes).expect("tamper");
-        match cache.get(0xfeed) {
-            Some(served) => {
-                // Only a semantically identical document may be served.
-                prop_assert_eq!(served.rendered, original.rendered);
-                prop_assert_eq!(served.metrics, original.metrics);
-                prop_assert_eq!(cache.stats().corrupt, 0);
-            }
-            None => {
-                prop_assert_eq!(cache.stats().corrupt, 1);
-                prop_assert!(!path.exists(), "damaged entry must be deleted");
-                // The recompute path repopulates the slot.
-                cache.put(0xfeed, &original).expect("re-put");
-                prop_assert!(cache.get(0xfeed).is_some());
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Truncating an entry at any point is detected the same way.
-    #[test]
-    fn truncated_entries_fall_back_to_resimulation(cut in 0usize..4096) {
-        let dir = tmpdir(&format!("prop-cut-{cut}"));
-        let (mut cache, original) = seeded_entry(&dir);
-        let path = entry_path(&dir);
-        let bytes = std::fs::read(&path).expect("entry bytes");
-        let cut = cut % bytes.len(); // strictly shorter than the file
-        std::fs::write(&path, &bytes[..cut]).expect("truncate");
-        prop_assert!(cache.get(0xfeed).is_none(), "truncated entry must miss");
-        prop_assert_eq!(cache.stats().corrupt, 1);
-        cache.put(0xfeed, &original).expect("re-put");
-        prop_assert!(cache.get(0xfeed).is_some());
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }
 
 #[test]
@@ -987,89 +917,4 @@ fn stream_replays_exactly_the_missed_events_from_a_cursor() {
         .expect("empty stream");
     assert!(status.finished);
     assert_eq!(seq, 8);
-}
-
-// ---------------------------------------------------------------------------
-// Journal corruption robustness (mirrors the cache proptests above)
-// ---------------------------------------------------------------------------
-
-/// Deterministic journal content with every record type and
-/// escaping-hostile text. ASCII-only so byte positions are char
-/// boundaries and the truncation proptest can slice anywhere.
-fn sample_records() -> Vec<JournalRecord> {
-    vec![
-        JournalRecord::Submit {
-            job: 1,
-            tenant: "alice".to_string(),
-            spec_text: SPEC.to_string(),
-        },
-        JournalRecord::CellDone {
-            job: 1,
-            slot: 0,
-            cell: 0xdead_beef,
-        },
-        JournalRecord::CellDone {
-            job: 1,
-            slot: 3,
-            cell: 0x1234,
-        },
-        JournalRecord::Submit {
-            job: 2,
-            tenant: "bob \"the\" builder".to_string(),
-            spec_text: "experiments = count\nseeds = 2\nroot-seed = 0xb0b".to_string(),
-        },
-        JournalRecord::Cancel { job: 2 },
-        JournalRecord::CellDone {
-            job: 1,
-            slot: 7,
-            cell: u64::MAX,
-        },
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Any single-byte corruption of the journal salvages line by
-    /// line: recovered records are an order-preserving subsequence of
-    /// what was written (corruption can drop lines, never invent or
-    /// alter records — the checksum sees to that), anything missing is
-    /// visible in the dropped count, and nothing panics.
-    #[test]
-    fn journal_salvage_survives_any_single_byte_flip(pos in 0usize..4096, flip in 1u8..=255) {
-        let records = sample_records();
-        let text: String = records.iter().map(JournalRecord::render).collect();
-        let mut bytes = text.clone().into_bytes();
-        let pos = pos % bytes.len();
-        bytes[pos] ^= flip;
-        let tampered = String::from_utf8_lossy(&bytes).into_owned();
-        let recovery = Journal::salvage(&tampered);
-        let mut rest = records.iter();
-        for got in &recovery.records {
-            prop_assert!(
-                rest.any(|r| r == got),
-                "salvage produced a record never written: {got:?}"
-            );
-        }
-        if recovery.records.len() < records.len() {
-            prop_assert!(
-                recovery.dropped >= 1,
-                "missing records must be counted as dropped"
-            );
-        }
-    }
-
-    /// A torn tail (power cut mid-append) salvages exactly the records
-    /// whose full line survives; the partial line is at most one
-    /// counted drop.
-    #[test]
-    fn journal_truncation_salvages_the_intact_prefix(cut in 0usize..4096) {
-        let records = sample_records();
-        let text: String = records.iter().map(JournalRecord::render).collect();
-        let cut = cut % text.len();
-        let recovery = Journal::salvage(&text[..cut]);
-        let keep = text[..cut].matches('\n').count();
-        prop_assert_eq!(recovery.records.as_slice(), &records[..keep]);
-        prop_assert!(recovery.dropped <= 1, "at most the torn line drops");
-    }
 }
